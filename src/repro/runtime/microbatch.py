@@ -1,8 +1,8 @@
 """Micro-batched online serving for the learned predictors.
 
-The tabular/NN predictors are vectorized: one ``predict_proba`` call on a
-``(B, T, S)`` batch costs far less than ``B`` calls on ``(1, T, S)`` slices,
-because the per-call Python and NumPy dispatch overhead dominates at batch 1.
+The tabular/NN predictors are vectorized: one call on a ``(B, T, S)`` batch
+costs far less than ``B`` calls on ``(1, T, S)`` slices, because the
+per-call Python and NumPy dispatch overhead dominates at batch 1.
 A real deployment therefore queues triggers briefly and answers them in
 bursts. The machinery splits into two halves with different sharing rules:
 
@@ -17,9 +17,11 @@ bursts. The machinery splits into two halves with different sharing rules:
   mixing two streams' rings would corrupt every window.
 * :class:`_FlushPath` — the **shared** half. It owns the preallocated gather
   buffers and the predictor, and can answer pending queries from *any number
-  of stream states* with **one** vectorized ``predict_proba`` call: the flush
-  gathers each stream's windows (one ``np.take`` per stream into slices of
-  the shared batch buffer), predicts once, and the shared
+  of stream states* with **one** predict call: the flush gathers each
+  stream's windows (one ``np.take`` per stream into slices of the shared
+  batch buffer; a lone query's window is passed as its ring slice instead),
+  runs the tables' fixed-shape query plans over them (``predict_proba`` for
+  models without plans), and the shared
   :func:`~repro.prefetch.nn_prefetcher.decode_bitmap_probs` turns each row
   into prefetch candidates — the same decode the batch path runs, which is
   why all serving paths are bit-identical.
@@ -39,8 +41,6 @@ fills N× faster and the model is stored once.
 """
 
 from __future__ import annotations
-
-import inspect
 
 import numpy as np
 
@@ -235,11 +235,13 @@ def snapshot_from_bytes(buf: bytes) -> dict[str, np.ndarray]:
 
 
 class _FlushPath:
-    """Shared flush machinery: gather → one vectorized predict → decode.
+    """Shared flush machinery: gather → one predict call → decode.
 
     Holds the preallocated ``(B, T, S)`` gather buffers and the (single)
     predictor reference; :meth:`flush` answers pending queries from any
-    number of :class:`StreamState` instances in one ``predict_proba`` call.
+    number of :class:`StreamState` instances in one call — the model's query
+    plans (``fast_path().query_into``) when it has them, else its
+    ``predict_proba``.
     """
 
     def __init__(
@@ -264,9 +266,9 @@ class _FlushPath:
         self._anchors = np.empty(b, dtype=np.int64)
         self._probs = np.empty((b, config.bitmap_size), dtype=np.float64)
         self._win = np.arange(t_hist, dtype=np.intp)
-        #: row-wise decode twin (bit-identical; used by the k == 1 dispatch)
+        #: row-wise decode twin (bit-identical; used for k == 1 flushes)
         self._decode1 = SingleRowDecoder(config.bitmap_size, threshold, max_degree, decode)
-        #: vectorized predict calls issued (the quantity shared batching cuts)
+        #: predict calls issued, one per flush (the quantity shared batching cuts)
         self.predict_calls = 0
         #: queries answered across all calls
         self.queries_answered = 0
@@ -274,7 +276,7 @@ class _FlushPath:
         self.swaps = 0
         #: version id of the installed model, when known (ModelArtifact swaps)
         self.model_version: int | None = None
-        #: flushes answered by the single-query fast path (k == 1 dispatches)
+        #: one-query flushes answered by the query plans straight off the ring
         self.fast_path_flushes = 0
         self.set_predictor(predict_proba)
         self.swaps = 0  # installing the boot model is not a swap
@@ -288,17 +290,11 @@ class _FlushPath:
         matches the engine's preprocessing config.
 
         When the callable is a bound method of a model exposing
-        ``fast_path()`` (the tabular predictor), the single-query plan is
-        built here, once per install — so one-row flushes skip the generic
-        n-row gather/predict machinery entirely. A swap replaces the plan
-        with the new model's (never reuses the old one).
+        ``fast_path()`` (the tabular predictor), every flush is served by the
+        model's query plans instead of ``predict_proba``. A swap takes the
+        new model's plans (never reuses the old ones).
         """
         self._predict = predict_proba
-        try:
-            params = inspect.signature(predict_proba).parameters
-            self._supports_out = "out" in params
-        except (TypeError, ValueError):  # builtins / C callables
-            self._supports_out = False
         fast = None
         model = getattr(predict_proba, "__self__", None)
         if model is not None and hasattr(model, "fast_path"):
@@ -327,24 +323,17 @@ class _FlushPath:
         if k > self.batch_size:
             raise ValueError(f"{k} pending queries exceed batch_size={self.batch_size}")
         t = self._t_hist
-        if k == 1 and self._fast is not None:
-            # Single-query dispatch: the window for seq is a *contiguous*
-            # slice of the mirrored ring (rows r+cap-T+1 .. r+cap), so it
-            # feeds the fused plan as a view — no gather, no batch predict.
-            # Bit-identity with the generic path is pinned by the
-            # serving-conformance matrix.
+        fast = self._fast
+        if k == 1 and fast is not None:
+            # The window for seq is a *contiguous* slice of the mirrored ring
+            # (rows r+cap-T+1 .. r+cap), so it feeds the plan as a view.
             for state, pend in groups:
                 if pend:
                     break
-            cap = state.cap
-            r = pend[0] % cap
-            lo = r + cap - t + 1
-            self._fast.query_into(
-                state.addr_ring[lo : lo + t],
-                state.pc_ring[lo : lo + t],
-                self._probs[:1],
-            )
-            lists = [self._decode1.decode1(self._probs[0], state.anchors[r])]
+            r = pend[0] % state.cap
+            lo = r + state.cap - t + 1
+            x_addr, x_pc = state.addr_ring[lo : lo + t], state.pc_ring[lo : lo + t]
+            self._anchors[0] = state.anchors[r]
             self.fast_path_flushes += 1
         else:
             offset = 0
@@ -359,13 +348,15 @@ class _FlushPath:
                 np.take(state.pc_ring, rows, axis=0, out=self._x_pc[offset : offset + kk])
                 self._anchors[offset : offset + kk] = state.anchors[pos]
                 offset += kk
-            if self._supports_out:
-                probs = self._predict(
-                    self._x_addr[:k], self._x_pc[:k],
-                    batch_size=self.batch_size, out=self._probs[:k],
-                )
-            else:
-                probs = self._predict(self._x_addr[:k], self._x_pc[:k], batch_size=self.batch_size)
+            x_addr, x_pc = self._x_addr[:k], self._x_pc[:k]
+        probs = self._probs[:k]
+        if fast is not None:
+            fast.query_into(x_addr, x_pc, probs)
+        else:
+            probs = self._predict(x_addr, x_pc, batch_size=self.batch_size)
+        if k == 1:
+            lists = [self._decode1.decode1(probs[0], self._anchors[0])]
+        else:
             lists = decode_bitmap_probs(
                 probs, self._anchors[:k], self.threshold, self.max_degree, self.decode
             )
@@ -387,8 +378,9 @@ class MicroBatcher:
     ----------
     predict_proba:
         ``predict_proba(x_addr, x_pc, batch_size=...)`` callable (NN or
-        tabular predictor). If it accepts an ``out=`` argument (the tabular
-        model does), the output buffer is preallocated and reused too.
+        tabular predictor). When it is bound to a model with
+        ``fast_path()`` (the tabular predictor), flushes run that model's
+        query plans into a preallocated output buffer instead.
     config:
         Preprocessing geometry (history length, segmenter, bitmap size).
     threshold / max_degree / decode:
@@ -454,7 +446,7 @@ class MicroBatcher:
 
     @property
     def fast_path_flushes(self) -> int:
-        """Flushes answered by the single-query fast path (k == 1 dispatches)."""
+        """One-query flushes served by the query plans off the ring (k == 1)."""
         return self._path.fast_path_flushes
 
     @property
@@ -499,7 +491,7 @@ class MicroBatcher:
         return []
 
     def flush(self) -> list[Emission]:
-        """Answer all pending queries with one vectorized predict call."""
+        """Answer all pending queries with one predict call."""
         state = self._state
         if not state.pending:
             return []
@@ -557,7 +549,7 @@ class StreamingModelPrefetcher(StreamingPrefetcher):
 
     @property
     def fast_path_flushes(self) -> int:
-        """Flushes answered by the single-query fast path (k == 1 dispatches)."""
+        """One-query flushes served by the query plans off the ring (k == 1)."""
         return self._mb.fast_path_flushes
 
     @property

@@ -16,7 +16,7 @@ but wastes both axes the paper cares about:
 :class:`~repro.runtime.microbatch.StreamState` (feature rings + pending
 queue — the per-tenant featurization that *Fine-Grained Address Segmentation*
 requires to stay isolated per stream), but all pending queries are coalesced
-into **one** vectorized ``predict_proba`` call per flush across streams. With
+into **one** predict call (the tables' query plans) per flush across streams. With
 8 streams, a ``B = 64`` batch fills in ~8 accesses per stream instead of 64,
 and the shared predictor is stored once.
 
@@ -355,7 +355,7 @@ class MultiStreamEngine:
 
     @property
     def fast_path_flushes(self) -> int:
-        """Flushes answered by the single-query fast path (k == 1 dispatches)."""
+        """One-query flushes served by the query plans off the ring (k == 1)."""
         return self._path.fast_path_flushes
 
     def stats(self) -> dict:

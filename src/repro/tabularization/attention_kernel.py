@@ -143,7 +143,7 @@ class TabularAttention:
         return gathered.sum(axis=-1)
 
     def make_attention_plan(self, batch: int):
-        """Preallocated fixed-batch query plan (the single-query fast path).
+        """Preallocated fixed-batch query plan (a stage of the serving query plans).
 
         Bit-identical to :meth:`query` on ``batch`` attention instances; see
         :mod:`repro.tabularization.fastpath`.

@@ -1,25 +1,31 @@
-"""Fused single-query fast path through the hierarchy of tables.
+"""Fixed-shape query plans through the hierarchy of tables.
 
-The generic ``query()`` path is shaped for throughput: it accepts any batch,
-pads and re-splits inputs per call (``np.pad`` allocates), and every kernel
-allocates its activations. At ``B = 1`` — the shape a real prefetcher serves,
-one access at a time — that generality is almost pure overhead: profiling the
-bench geometry shows a single-row ``query()`` is dominated by NumPy *dispatch*
-(per-call padding, ``fromnumeric`` wrappers, view gymnastics, allocation), not
-arithmetic; the arrays are tiny.
+The generic ``query()`` path is shaped for any batch: it pads and re-splits
+inputs per call (``np.pad`` allocates), and every kernel allocates its
+activations. At serving batch sizes that generality is almost pure
+overhead: profiling the bench geometry shows a small ``query()`` is
+dominated by NumPy *dispatch* (per-call padding, ``fromnumeric`` wrappers,
+view gymnastics, allocation), not arithmetic; the arrays are tiny.
 
-This module compiles a **plan** for the one geometry streaming serves — the
-model's fixed history length ``T`` — once, at build time:
+This module compiles a **plan** per window count ``n`` for the model's
+fixed history length ``T`` — once, on first use:
 
 * every scratch buffer (subspace splits, distance matrices, code arrays,
-  gathers, activations) is preallocated, and so is every *view* into them
-  (head splits, gather index reshapes), so the steady state allocates nothing;
+  gathers, activations) is preallocated at ``n·T`` rows, and so is every
+  *view* into them (head splits, gather index reshapes), so the steady state
+  allocates nothing;
 * gather indices that depend only on geometry (subspace offsets into
-  flattened tables, the attention kernels' ``c·K²`` strides) are precomputed;
+  flattened tables, the attention kernels' ``c·K²`` strides) and the
+  positional encodings (broadcast over the ``n`` windows) are precomputed;
 * every step is a direct ufunc / ndarray-method call (``np.add.reduce``,
   ``ndarray.take``, ``ndarray.argmin``) — the ``fromnumeric`` wrappers the
   generic path goes through cost more than the arithmetic at these shapes;
 * LayerNorm and the sigmoid LUT write into preallocated outputs in place.
+
+``query_into`` answers any number of windows by splitting them into chunks
+of at most :data:`CAP` and serving each chunk with a power-of-two plan: full
+chunks of ``CAP``, then the binary digits of the remainder. A model
+therefore holds at most ``log2(CAP) + 1`` plans, each built lazily.
 
 **Bit-identity is the contract.** Every numerical step either mirrors the
 generic path's exact operation order or applies a transformation verified to
@@ -34,22 +40,37 @@ be IEEE-754 exact:
 * ``mean``/``var`` decompose into the same ``np.add.reduce`` + divide
   sequence NumPy's ``_methods`` implement;
 * elementwise ops and gathers are value-exact regardless of batching, so
-  those *are* batched across subspaces.
+  those *are* batched across subspaces, and every per-row result is the same
+  whatever chunk the row lands in.
 
-``tests/test_fastpath.py`` pins ``query1 == query`` bitwise; the
-serving-conformance matrix pins the whole serving stack on top of it.
+``tests/test_fastpath.py`` pins ``query_into == query`` bitwise for every
+window count up to ``2·CAP + 1``; the serving-conformance matrix pins the
+whole serving stack on top of it.
 
-Hot model swaps replace the plan (``_FlushPath.set_predictor`` rebuilds it);
-in-place table refreshes (``TabularLinear.rebuild``) are caught by an
-identity check on the source table each run, so a stale flattened copy can
-never serve.
+Hot model swaps replace the plans (``_FlushPath.set_predictor`` takes the new
+model's); in-place table refreshes (``TabularLinear.rebuild``) are caught by
+an identity check on the source table each run, so a stale flattened copy
+can never serve.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-__all__ = ["SingleQueryFastPath", "EncodePlan", "RowPlan", "AttentionPlan"]
+from repro.tabularization.tabular_model import check_windows
+
+__all__ = ["CAP", "SingleQueryFastPath", "EncodePlan", "RowPlan", "AttentionPlan"]
+
+#: Most windows one plan serves. Larger flushes run in chunks of ``CAP``
+#: because the attention's four encode-distance buffers take
+#: ``4·C·(n·H·T)·K·8 B`` — 256 KiB per window at the serving geometry
+#: (C=2, H=2, T=16, K=128), so 2 MiB at n = 8, which fits one core's L2 on
+#: the 2-CPU Xeon this was sized on. One n = 32 plan needs 8 MiB and ran
+#: slower per query than the generic batched path there (232 vs 217 µs;
+#: four chunks of 8: 149 µs). A power of two, so chunks are plan sizes.
+CAP = 8
 
 
 class EncodePlan:
@@ -182,8 +203,8 @@ class RowPlan:
 class AttentionPlan:
     """Fixed-batch attention kernel: 4 encodes + 2 flat-table gathers.
 
-    ``batch`` is the number of attention instances (``B·H``; the fast path
-    uses ``B = 1`` so ``batch = heads``). Callers supply row-major Q/K rows
+    ``batch`` is the number of attention instances (``n·H`` for a plan of
+    ``n`` windows). Callers supply row-major Q/K rows
     ``(batch·T, D_k)`` and V columns ``(batch·D_k, T)`` — the exact row
     orders the generic path's reshapes produce.
     """
@@ -264,7 +285,7 @@ class AttentionPlan:
 
 
 class _MSAPlan:
-    """Multi-head attention on one ``(T, D)`` input, heads pre-split once.
+    """Multi-head attention on ``n`` stacked ``(T, D)`` windows.
 
     The head split/merge copies are single ``copyto`` calls through views
     precomputed over the fixed scratch buffers — the same row orders the
@@ -278,27 +299,28 @@ class _MSAPlan:
         "_ctx_src", "_merged_dst",
     )
 
-    def __init__(self, msa, t: int):
+    def __init__(self, msa, n: int, t: int):
         self.msa = msa
-        self.qkv = msa.qkv.make_row_plan(t)
-        self.attn = msa.attn.make_attention_plan(msa.heads)
-        self.out = msa.out.make_row_plan(t)
+        self.qkv = msa.qkv.make_row_plan(n * t)
+        self.attn = msa.attn.make_attention_plan(n * msa.heads)
+        self.out = msa.out.make_row_plan(n * t)
         h, dh, d = msa.heads, msa.head_dim, msa.dim
-        self.q_rows = np.empty((h * t, dh))
-        self.k_rows = np.empty((h * t, dh))
-        self.v_cols = np.empty((h * dh, t))
-        self.merged = np.empty((t, d))
-        qkv_out = self.qkv.out  # (T, 3D), fixed buffer
-        #: (B·H, T, Dh)-ordered head views over the QKV output
-        self._q_src = qkv_out[:, :d].reshape(t, h, dh).transpose(1, 0, 2)
-        self._k_src = qkv_out[:, d : 2 * d].reshape(t, h, dh).transpose(1, 0, 2)
-        #: V columns: (H, Dh, T) view matching the generic transpose(0, 2, 1)
-        self._v_src = qkv_out[:, 2 * d :].reshape(t, h, dh).transpose(1, 2, 0)
-        self._q_dst = self.q_rows.reshape(h, t, dh)
-        self._k_dst = self.k_rows.reshape(h, t, dh)
-        self._v_dst = self.v_cols.reshape(h, dh, t)
-        self._ctx_src = self.attn.ctx.transpose(1, 0, 2)  # (T, H, Dh)
-        self._merged_dst = self.merged.reshape(t, h, dh)
+        self.q_rows = np.empty((n * h * t, dh))
+        self.k_rows = np.empty((n * h * t, dh))
+        self.v_cols = np.empty((n * h * dh, t))
+        self.merged = np.empty((n * t, d))
+        qkv_out = self.qkv.out  # (n·T, 3D), fixed buffer
+        #: (n, H, T, Dh)-ordered head views over the QKV output
+        self._q_src = qkv_out[:, :d].reshape(n, t, h, dh).transpose(0, 2, 1, 3)
+        self._k_src = qkv_out[:, d : 2 * d].reshape(n, t, h, dh).transpose(0, 2, 1, 3)
+        #: V columns: (n, H, Dh, T) view matching the generic transpose(0, 2, 1)
+        self._v_src = qkv_out[:, 2 * d :].reshape(n, t, h, dh).transpose(0, 2, 3, 1)
+        self._q_dst = self.q_rows.reshape(n, h, t, dh)
+        self._k_dst = self.k_rows.reshape(n, h, t, dh)
+        self._v_dst = self.v_cols.reshape(n, h, dh, t)
+        #: (n·H, T, Dh) context viewed as (n, T, H, Dh)
+        self._ctx_src = self.attn.ctx.reshape(n, h, t, dh).transpose(0, 2, 1, 3)
+        self._merged_dst = self.merged.reshape(n, t, h, dh)
 
     def run(self, x2d: np.ndarray) -> np.ndarray:
         self.qkv.run(x2d)  # fills self.qkv.out
@@ -347,17 +369,17 @@ class _LayerNormPlan:
 
 
 class _EncoderLayerPlan:
-    """One tabularized encoder layer on a fixed ``(T, D)`` activation."""
+    """One tabularized encoder layer on ``n`` stacked ``(T, D)`` activations."""
 
     __slots__ = ("msa", "ln1", "ffn1", "ffn2", "ln2", "resid")
 
-    def __init__(self, layer, t: int):
-        self.msa = _MSAPlan(layer.msa, t)
-        self.ln1 = _LayerNormPlan(layer.ln1, t)
-        self.ffn1 = layer.ffn1.make_row_plan(t)
-        self.ffn2 = layer.ffn2.make_row_plan(t)
-        self.ln2 = _LayerNormPlan(layer.ln2, t)
-        self.resid = np.empty((t, layer.msa.dim))
+    def __init__(self, layer, n: int, t: int):
+        self.msa = _MSAPlan(layer.msa, n, t)
+        self.ln1 = _LayerNormPlan(layer.ln1, n * t)
+        self.ffn1 = layer.ffn1.make_row_plan(n * t)
+        self.ffn2 = layer.ffn2.make_row_plan(n * t)
+        self.ln2 = _LayerNormPlan(layer.ln2, n * t)
+        self.resid = np.empty((n * t, layer.msa.dim))
 
     def run(self, x2d: np.ndarray) -> np.ndarray:
         np.add(x2d, self.msa.run(x2d), self.resid)
@@ -370,56 +392,104 @@ class _EncoderLayerPlan:
 
 
 class SingleQueryFastPath:
-    """Preallocated single-query plan for a :class:`TabularAttentionPredictor`.
+    """Preallocated ``n``-window query plan for a :class:`TabularAttentionPredictor`.
 
-    Built once per installed model (``model.fast_path()`` caches one); a plan
+    ``model.fast_path()`` caches the ``n = 1`` plan; :meth:`query_into` on
+    it serves any number of windows, building the other power-of-two plans
+    (see :data:`CAP`) on first use and keeping them in :attr:`plans`. A plan
     is geometry-bound to the model's ``history_len`` and bitmap size. Not
     thread-safe — every buffer is reused across calls — matching the
     single-threaded flush paths that drive it.
     """
 
     __slots__ = (
-        "model", "t_hist", "bitmap_size",
-        "addr", "pc", "pe", "ln_in", "layers", "head",
-        "embed", "pooled", "sig_f", "sig_idx", "probs",
+        "_model", "n", "t_hist", "bitmap_size", "plans",
+        "addr", "pc", "pe", "ln_in", "layers", "head", "sigmoid",
+        "embed", "pool_src", "pooled", "sig_f", "sig_idx", "probs",
     )
 
-    def __init__(self, model):
-        self.model = model
+    def __init__(self, model, n: int = 1):
+        # Weak: the model caches this plan, and a strong back-reference
+        # would leave a swapped-out model and megabytes of plan scratch (and
+        # any shared-memory table views) to the cyclic GC.
+        self._model = weakref.ref(model)
+        self.n = n = int(n)
         t = int(model.model_config.history_len)
         self.t_hist = t
         self.bitmap_size = int(model.model_config.bitmap_size)
+        #: window count -> plan, for the other counts built from this one
+        self.plans: dict[int, SingleQueryFastPath] = {}
         d = model.model_config.dim
-        self.addr = model.addr_table.make_row_plan(t)
-        self.pc = model.pc_table.make_row_plan(t)
-        self.pe = np.ascontiguousarray(model.pos.pe[:t])
-        self.ln_in = _LayerNormPlan(model.ln_in, t)
-        self.layers = [_EncoderLayerPlan(layer, t) for layer in model.layers]
-        self.head = model.head_table.make_row_plan(1)
-        self.embed = np.empty((t, d))
-        self.pooled = np.empty((1, d))
-        self.sig_f = np.empty((1, self.bitmap_size))
-        self.sig_idx = np.empty((1, self.bitmap_size), dtype=np.int64)
+        self.addr = model.addr_table.make_row_plan(n * t)
+        self.pc = model.pc_table.make_row_plan(n * t)
+        self.pe = np.ascontiguousarray(
+            np.broadcast_to(model.pos.pe[:t], (n, t, d))
+        ).reshape(n * t, d)
+        self.ln_in = _LayerNormPlan(model.ln_in, n * t)
+        self.layers = [_EncoderLayerPlan(layer, n, t) for layer in model.layers]
+        self.head = model.head_table.make_row_plan(n)
+        self.sigmoid = model.sigmoid
+        self.embed = np.empty((n * t, d))
+        final = self.layers[-1].ln2.out if self.layers else self.ln_in.out
+        #: the last activation viewed per window, (n, T, D), for the mean pool
+        self.pool_src = final.reshape(n, t, d)
+        self.pooled = np.empty((n, d))
+        self.sig_f = np.empty((n, self.bitmap_size))
+        self.sig_idx = np.empty((n, self.bitmap_size), dtype=np.int64)
         self.probs = np.empty((1, self.bitmap_size))
 
-    def query_into(self, x_addr: np.ndarray, x_pc: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """One query: ``(T, S)`` feature rows → probabilities into ``out``.
+    def _plan(self, n: int) -> "SingleQueryFastPath":
+        if n == self.n:
+            return self
+        plan = self.plans.get(n)
+        if plan is None:
+            model = self._model()
+            if model is None:
+                raise RuntimeError("the model these query plans belong to was freed")
+            plan = self.plans[n] = SingleQueryFastPath(model, n)
+        return plan
 
-        ``out`` must be a float64 ``(1, bitmap_size)`` array (a view into a
-        caller's batch buffer is the intended use). Bit-identical to
-        ``model.query(x_addr[None], x_pc[None])[0]``.
-        """
+    def _run(self, x_addr: np.ndarray, x_pc: np.ndarray, out: np.ndarray) -> None:
+        """``n·T`` stacked feature rows → ``(n, bitmap)`` probabilities."""
         h = self.embed
         np.add(self.addr.run(x_addr), self.pc.run(x_pc), h)
         np.add(h, self.pe, h)
         h = self.ln_in.run(h)
         for layer in self.layers:
             h = layer.run(h)
-        # Mean pool = the same add.reduce + divide x.mean(axis=-2) runs.
-        np.add.reduce(h, axis=0, keepdims=True, out=self.pooled)
+        # Per-window mean pool = the same add.reduce + divide x.mean(axis=-2) runs.
+        np.add.reduce(self.pool_src, axis=1, out=self.pooled)
         np.true_divide(self.pooled, self.t_hist, self.pooled)
-        logits = self.head.run(self.pooled)  # (1, bitmap)
-        self.model.sigmoid.query_into(logits, self.sig_f, self.sig_idx, out)
+        logits = self.head.run(self.pooled)  # (n, bitmap)
+        self.sigmoid.query_into(logits, self.sig_f, self.sig_idx, out)
+
+    def query_into(self, x_addr: np.ndarray, x_pc: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Windows ``(n, T, S)`` — or one ``(T, S)`` — → probabilities into ``out``.
+
+        ``out`` must be a float64 ``(n, bitmap_size)`` array (``(1, …)`` for
+        one ``(T, S)`` window; a view into a caller's batch buffer is the
+        intended use). Bit-identical to ``model.query(x_addr, x_pc)``.
+        """
+        if x_addr.ndim == 2:  # one window: the B=1 serving call, unchunked
+            self._plan(1)._run(x_addr, x_pc, out)
+            return out
+        check_windows(x_addr, x_pc)
+        n, t = x_addr.shape[:2]
+        if t != self.t_hist or out.shape != (n, self.bitmap_size):
+            raise ValueError(
+                f"{n} windows of {t} rows into out {out.shape}: plans are bound "
+                f"to history_len {self.t_hist} and bitmap size {self.bitmap_size}"
+            )
+        # Full chunks of CAP, then the binary digits of the remainder.
+        s, m = 0, CAP
+        while s < n:
+            while m > n - s:
+                m >>= 1
+            self._plan(m)._run(
+                x_addr[s : s + m].reshape(m * t, -1), x_pc[s : s + m].reshape(m * t, -1),
+                out[s : s + m],
+            )
+            s += m
         return out
 
     def query1(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:
@@ -427,6 +497,7 @@ class SingleQueryFastPath:
         t = self.t_hist
         x_addr = np.asarray(x_addr, dtype=np.float64)
         x_pc = np.asarray(x_pc, dtype=np.float64)
+        check_windows(x_addr, x_pc)
         if x_addr.ndim == 3:  # accept the generic (1, T, S) calling shape
             x_addr = x_addr.reshape(x_addr.shape[-2:])
             x_pc = x_pc.reshape(x_pc.shape[-2:])

@@ -87,7 +87,7 @@ class FusedFunctionTable:
         return out.reshape(*lead, self.out_dim)
 
     def make_row_plan(self, n_rows: int):
-        """Preallocated fixed-row-count query plan (the single-query fast path).
+        """Preallocated fixed-row-count query plan (a stage of the serving query plans).
 
         The fused table shares the linear kernel's ``(pq, table)`` layout, so
         the same :class:`~repro.tabularization.fastpath.RowPlan` applies.

@@ -81,7 +81,7 @@ class TabularLinear:
         return out.reshape(*lead, self.out_dim)
 
     def make_row_plan(self, n_rows: int):
-        """Preallocated fixed-row-count query plan (the single-query fast path).
+        """Preallocated fixed-row-count query plan (a stage of the serving query plans).
 
         Bit-identical to :meth:`query` on ``(n_rows, D_in)`` inputs; see
         :mod:`repro.tabularization.fastpath`.

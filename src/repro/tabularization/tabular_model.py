@@ -30,6 +30,16 @@ LATENCY_LAYERNORM = 8.0
 LATENCY_SIGMOID = 1.0
 
 
+def check_windows(x_addr: np.ndarray, x_pc: np.ndarray) -> None:
+    """Refuse ``x_pc`` whose leading ``(n, T)`` shape differs from
+    ``x_addr``'s: the table sums would silently broadcast it."""
+    if np.shape(x_addr)[:-1] != np.shape(x_pc)[:-1]:
+        raise ValueError(
+            f"x_pc leading shape {np.shape(x_pc)[:-1]} does not match "
+            f"x_addr {np.shape(x_addr)[:-1]}"
+        )
+
+
 @dataclass(frozen=True)
 class TableConfig:
     """Per-operation table sizes (paper Table II: ⟨prototypes K, subspaces C⟩)."""
@@ -136,8 +146,16 @@ class TabularAttentionPredictor:
         self.model_config = model_config
         self.table_config = table_config
 
+    def __getstate__(self) -> dict:
+        # Query plans are scratch bound to this object's buffers (their views
+        # would not survive a deep copy); copies rebuild their own.
+        state = self.__dict__.copy()
+        state.pop("_fast_path", None)
+        return state
+
     # ------------------------------------------------------------------ query
     def query_logits(self, x_addr: np.ndarray, x_pc: np.ndarray) -> np.ndarray:
+        check_windows(x_addr, x_pc)
         h = self.addr_table.query(x_addr) + self.pc_table.query(x_pc)
         h = self.ln_in.query(self.pos.apply_inference(h))
         for layer in self.layers:
@@ -149,12 +167,13 @@ class TabularAttentionPredictor:
         return self.sigmoid.query(self.query_logits(x_addr, x_pc))
 
     def fast_path(self):
-        """The cached single-query plan (built lazily, geometry-bound).
+        """The cached query plans (built lazily, geometry-bound).
 
         See :mod:`repro.tabularization.fastpath`: preallocated scratch for
-        every site of the hierarchy, bit-identical to :meth:`query` on one
-        ``(T, S)`` window. Serving flush paths call this once per installed
-        model; the plan is not thread-safe (buffers are reused per call).
+        every site of the hierarchy; ``query_into`` is bit-identical to
+        :meth:`query` on any number of ``(T, S)`` windows. Serving flush
+        paths call this once per installed model; the plans are not
+        thread-safe (buffers are reused per call).
         """
         fp = getattr(self, "_fast_path", None)
         if fp is None:
@@ -188,6 +207,7 @@ class TabularAttentionPredictor:
         the batch split (every table lookup, LayerNorm and pooling operates
         row-locally), which the streaming/batch equivalence tests pin down.
         """
+        check_windows(x_addr, x_pc)
         n = x_addr.shape[0]
         if out is None:
             out = np.empty((n, self.model_config.bitmap_size), dtype=np.float64)

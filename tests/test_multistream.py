@@ -253,3 +253,67 @@ def test_max_wait_deadline_bounds_pending_per_stream(dart, four_traces):
         for h, trace in zip(handles, four_traces):
             h.ingest(int(trace.pcs[i]), int(trace.addrs[i]))
             assert h.pending <= 16
+
+
+def test_partial_fills_served_by_plans_across_a_swap(dart, four_traces):
+    """Deadline flushes at B=32 fill at many levels — sizes above the plan
+    cap that are not powers of two decompose into chunked plan runs — and a
+    mid-run swap to a different model serves through *its* plans. Each
+    stream must match the oracle of whichever model answered each seq."""
+    import copy
+
+    import numpy as np
+
+    from repro.prefetch import DARTPrefetcher
+    from repro.tabularization.fastpath import CAP
+
+    other = copy.deepcopy(dart.predictor)
+    # Same geometry, different answers: shift every predicted delta.
+    other.head_table.table = np.roll(other.head_table.table, 3, axis=-1)
+    other_dart = DARTPrefetcher(other, dart.config, threshold=dart.threshold,
+                                max_degree=dart.max_degree, decode=dart.decode)
+
+    traces = four_traces[:3]
+    engine = dart.multistream(batch_size=32, max_wait=6)
+    handles = engine.streams(3)
+    fills = []
+    path_flush = engine._path.flush
+
+    def counting_flush(groups):
+        fills.append(sum(len(pend) for _, pend in groups))
+        return path_flush(groups)
+
+    engine._path.flush = counting_flush
+    collected = [[None] * len(t) for t in traces]
+    cursor = [0, 0, 0]
+    swapped_at = None
+    rng = np.random.default_rng(7)
+    while any(c < len(t) for c, t in zip(cursor, traces)):
+        i = int(rng.choice(3, p=[0.55, 0.3, 0.15]))  # uneven, bursty interleave
+        for _ in range(int(rng.integers(1, 5))):
+            if cursor[i] < len(traces[i]):
+                j = cursor[i]
+                for em in handles[i].ingest(int(traces[i].pcs[j]), int(traces[i].addrs[j])):
+                    collected[i][em.seq] = list(em.blocks)
+                cursor[i] += 1
+        if swapped_at is None and sum(cursor) >= sum(len(t) for t in traces) // 2:
+            swapped_at = list(cursor)
+            engine.swap_model(other)
+        for h in handles:
+            for em in h.poll():
+                collected[h.index][em.seq] = list(em.blocks)
+    for h in handles:
+        for em in h.flush():
+            collected[h.index][em.seq] = list(em.blocks)
+
+    odd_fills = {f for f in fills if f > CAP and f & (f - 1)}
+    assert len(odd_fills) >= 3, sorted(set(fills))
+    assert CAP in other.fast_path().plans  # the new model's plans served
+    changed = False
+    for i, trace in enumerate(traces):
+        old, new = dart.prefetch_lists(trace), other_dart.prefetch_lists(trace)
+        cut = swapped_at[i]
+        assert collected[i][:cut] == old[:cut], f"stream {i} diverged before the swap"
+        assert collected[i][cut:] == new[cut:], f"stream {i} diverged after the swap"
+        changed |= new[cut:] != old[cut:]
+    assert changed  # the swap actually changed what was served
