@@ -44,7 +44,7 @@ import time
 
 from bench_sharded import build_dart, make_streams
 
-from repro.runtime import AdmissionController, ThrottleConfig
+from repro.runtime import AdmissionConfig, AdmissionController
 from repro.sim import ContentionConfig, PoisonedStream, simulate_contention
 from repro.utils import log
 
@@ -80,9 +80,9 @@ def run(
     t0 = perf()
     a = simulate_contention(traces, handles(), cfg, collect=True)
     b = simulate_contention(traces, poisoned(handles()), cfg)
-    ctl_c = AdmissionController(ThrottleConfig(**THROTTLE))
+    ctl_c = AdmissionController(AdmissionConfig(**THROTTLE))
     c = simulate_contention(traces, ctl_c.wrap_all(poisoned(handles())), cfg)
-    ctl_d = AdmissionController(ThrottleConfig(**THROTTLE))
+    ctl_d = AdmissionController(AdmissionConfig(**THROTTLE))
     d = simulate_contention(traces, ctl_d.wrap_all(handles()), cfg, collect=True)
     seconds = perf() - t0
 

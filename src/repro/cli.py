@@ -851,7 +851,7 @@ def _cmd_multicore(args) -> int:
 def _cmd_contend(args) -> int:
     import json
 
-    from repro.runtime import AdmissionController, ThrottleConfig, as_streaming
+    from repro.runtime import AdmissionConfig, AdmissionController, as_streaming
     from repro.sim import (
         ContentionConfig,
         LevelConfig,
@@ -883,7 +883,7 @@ def _cmd_contend(args) -> int:
     controller = None
     if args.throttle:
         controller = AdmissionController(
-            ThrottleConfig(
+            AdmissionConfig(
                 floor=args.floor, recover=args.recover, lookahead=args.lookahead
             )
         )

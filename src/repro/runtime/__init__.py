@@ -85,9 +85,9 @@ from repro.runtime.ring import (
 )
 from repro.runtime.sharded import ShardedEngine, ShardFailure, ShardHandle
 from repro.runtime.throttle import (
+    AdmissionConfig,
     AdmissionController,
     TenantThrottle,
-    ThrottleConfig,
     ThrottledStream,
 )
 from repro.runtime.streaming import (
@@ -104,9 +104,9 @@ __all__ = [
     "AdaptationConfig",
     "AdaptationController",
     "AdaptiveStream",
+    "AdmissionConfig",
     "AdmissionController",
     "TenantThrottle",
-    "ThrottleConfig",
     "ThrottledStream",
     "BatchAdapter",
     "CompositeStream",

@@ -43,7 +43,7 @@ plug into every serving driver: :func:`~repro.runtime.engine.serve`,
 handles, and :func:`~repro.sim.contention.simulate_contention`. Wrap any
 handle with :meth:`AdmissionController.wrap`::
 
-    controller = AdmissionController(ThrottleConfig(floor=0.2))
+    controller = AdmissionController(AdmissionConfig(floor=0.2))
     handles = [controller.wrap(h) for h in engine.streams(4)]
 """
 
@@ -60,7 +60,7 @@ _STATES = (FULL, CAPPED, DROP)
 
 
 @dataclass(frozen=True)
-class ThrottleConfig:
+class AdmissionConfig:
     """Hysteresis band and cadence of the admission controller.
 
     Attributes
@@ -122,9 +122,9 @@ class ThrottleConfig:
 class TenantThrottle:
     """One tenant's monitor + hysteresis state machine."""
 
-    def __init__(self, name: str, config: ThrottleConfig | None = None):
+    def __init__(self, name: str, config: AdmissionConfig | None = None):
         self.name = name
-        self.config = config or ThrottleConfig()
+        self.config = config or AdmissionConfig()
         self.monitor = StreamMonitor(self.config.monitor_config())
         self.state = FULL
         self.since = 0  # monitor seq of the last transition
@@ -248,8 +248,8 @@ class AdmissionController:
     registry for fleet-wide state queries and summaries.
     """
 
-    def __init__(self, config: ThrottleConfig | None = None):
-        self.config = config or ThrottleConfig()
+    def __init__(self, config: AdmissionConfig | None = None):
+        self.config = config or AdmissionConfig()
         self.tenants: dict[str, TenantThrottle] = {}
 
     def wrap(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime import AdmissionController, Emission, ThrottleConfig
+from repro.runtime import AdmissionConfig, AdmissionController, Emission
 from repro.runtime.streaming import StreamingPrefetcher
 from repro.sim import (
     TENANT_ADDRESS_STRIDE,
@@ -192,7 +192,7 @@ def test_poisoned_stream_contract_and_determinism():
 def test_throttle_summaries_surface_in_result():
     traces = tiny_traces(2, length=1200)
     ctl = AdmissionController(
-        ThrottleConfig(floor=0.2, recover=0.4, min_samples=16,
+        AdmissionConfig(floor=0.2, recover=0.4, min_samples=16,
                        check_every=16, hold=64, lookahead=8)
     )
     streams = [

@@ -142,11 +142,11 @@ def test_engine_matches_batch_oracle(
             assert lists[s] == oracles[kind][s], f"stream {s} diverged"
             assert per_stream[s].accesses == len(conformance_traces[s])
     elif engine == "throttled":
-        from repro.runtime import AdmissionController, ThrottleConfig
+        from repro.runtime import AdmissionConfig, AdmissionController
 
         # floor=0.0 means accuracy can never sink below the floor, so the
         # throttle never escalates — the never-fires column of the matrix.
-        ctl = AdmissionController(ThrottleConfig(floor=0.0, recover=0.0))
+        ctl = AdmissionController(AdmissionConfig(floor=0.0, recover=0.0))
         if kind in MODEL_BACKED:
             ms = pf.multistream(batch_size=batch_size)
             handles = ctl.wrap_all(list(ms.streams(2)))

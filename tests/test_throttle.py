@@ -3,10 +3,10 @@
 import pytest
 
 from repro.runtime import (
+    AdmissionConfig,
     AdmissionController,
     Emission,
     TenantThrottle,
-    ThrottleConfig,
     ThrottledStream,
 )
 from repro.runtime.replay import _check_exactly_once
@@ -58,18 +58,18 @@ def drive(stream, n, start=0):
 # ------------------------------------------------------------- config guard
 def test_config_validation():
     with pytest.raises(ValueError, match="hysteresis"):
-        ThrottleConfig(floor=0.5, recover=0.3)
+        AdmissionConfig(floor=0.5, recover=0.3)
     with pytest.raises(ValueError):
-        ThrottleConfig(floor=-0.1)
+        AdmissionConfig(floor=-0.1)
     with pytest.raises(ValueError):
-        ThrottleConfig(capped_degree=-1)
+        AdmissionConfig(capped_degree=-1)
     with pytest.raises(ValueError):
-        ThrottleConfig(check_every=0)
+        AdmissionConfig(check_every=0)
 
 
 # ---------------------------------------------------------- state machine
 def test_accurate_tenant_stays_full():
-    ctl = AdmissionController(ThrottleConfig(**FAST))
+    ctl = AdmissionController(AdmissionConfig(**FAST))
     s = ctl.wrap(ScriptedStream(accurate=True), "good")
     out = drive(s, 400)
     assert ctl.state("good") == "full"
@@ -78,7 +78,7 @@ def test_accurate_tenant_stays_full():
 
 
 def test_garbage_tenant_escalates_to_drop():
-    ctl = AdmissionController(ThrottleConfig(**FAST))
+    ctl = AdmissionController(AdmissionConfig(**FAST))
     s = ctl.wrap(ScriptedStream(accurate=False), "bad")
     out = drive(s, 400)
     assert ctl.state("bad") == "drop"
@@ -91,7 +91,7 @@ def test_garbage_tenant_escalates_to_drop():
 
 
 def test_capped_state_trims_degree():
-    th = TenantThrottle("t", ThrottleConfig(**FAST))
+    th = TenantThrottle("t", AdmissionConfig(**FAST))
     th.state = "capped"
     em = th.admit(Emission(7, [1, 2, 3]))
     assert em.seq == 7 and em.blocks == [1]
@@ -103,7 +103,7 @@ def test_capped_state_trims_degree():
 
 def test_recovery_restores_full_with_hysteresis_hold():
     """A tenant that turns accurate climbs back, but only after `hold`."""
-    ctl = AdmissionController(ThrottleConfig(**FAST))
+    ctl = AdmissionController(AdmissionConfig(**FAST))
     inner = ScriptedStream(accurate=False)
     s = ctl.wrap(inner, "t")
     drive(s, 200)
@@ -122,7 +122,7 @@ def test_recovery_restores_full_with_hysteresis_hold():
 def test_monitor_scores_raw_emissions_while_dropping():
     """Accuracy must keep tracking the *inner* stream during drop-all —
     otherwise a dropped tenant could never be observed recovering."""
-    ctl = AdmissionController(ThrottleConfig(**FAST))
+    ctl = AdmissionController(AdmissionConfig(**FAST))
     inner = ScriptedStream(accurate=False)
     s = ctl.wrap(inner, "t")
     drive(s, 200)
@@ -135,7 +135,7 @@ def test_monitor_scores_raw_emissions_while_dropping():
 # ------------------------------------------------------------- contracts
 def test_throttled_emissions_exactly_once_ascending():
     """Throttling (even drop-all) must preserve the replay contract."""
-    ctl = AdmissionController(ThrottleConfig(**FAST))
+    ctl = AdmissionController(AdmissionConfig(**FAST))
     s = ctl.wrap(ScriptedStream(accurate=False), "bad")
     n = 300
     out = drive(s, n)
@@ -146,7 +146,7 @@ def test_throttled_emissions_exactly_once_ascending():
 def test_throttled_engine_handle_exactly_once(dart, libquantum_traces):
     """The contract holds on a real micro-batched engine handle too."""
     trace = libquantum_traces(1, 300, 5)[0]
-    ctl = AdmissionController(ThrottleConfig(**FAST, ))
+    ctl = AdmissionController(AdmissionConfig(**FAST, ))
     ms = dart.multistream(batch_size=16)
     h = ctl.wrap(ms.streams(1)[0])
     out = []
@@ -158,7 +158,7 @@ def test_throttled_engine_handle_exactly_once(dart, libquantum_traces):
 
 def test_never_firing_throttle_is_bit_identical():
     """floor=0.0 can never fire: delivered emissions are the same objects."""
-    ctl = AdmissionController(ThrottleConfig(floor=0.0, recover=0.0))
+    ctl = AdmissionController(AdmissionConfig(floor=0.0, recover=0.0))
     inner = ScriptedStream(accurate=False)  # even a terrible tenant
     s = ctl.wrap(inner, "t")
     ref = ScriptedStream(accurate=False)
@@ -179,7 +179,7 @@ def test_wrap_rejects_duplicate_tenant():
 
 
 def test_wrap_all_names_and_summary():
-    ctl = AdmissionController(ThrottleConfig(**FAST))
+    ctl = AdmissionController(AdmissionConfig(**FAST))
     streams = ctl.wrap_all([ScriptedStream(), ScriptedStream()], ["a", "b"])
     assert isinstance(streams[0], ThrottledStream)
     assert set(ctl.states()) == {"a", "b"}
@@ -190,7 +190,7 @@ def test_wrap_all_names_and_summary():
 
 
 def test_reset_clears_state_and_counters():
-    ctl = AdmissionController(ThrottleConfig(**FAST))
+    ctl = AdmissionController(AdmissionConfig(**FAST))
     inner = ScriptedStream(accurate=False)
     s = ctl.wrap(inner, "t")
     drive(s, 200)
